@@ -49,7 +49,7 @@ use crate::http::{HttpError, HttpRequest, Response};
 use crate::json::{esc, Json};
 use overify::{JobRecord, JobState, Store, StoreConfig, SymConfig, VerdictPointer};
 use overify_obs::metrics::{counter, Counter, DeltaTracker, LazyCounter, LazyGauge, LazyHistogram};
-use overify_serve::protocol::encode_spec_bytes;
+use overify_serve::protocol::{encode_spec_bytes, nodelay};
 use overify_serve::scheduler::PushError;
 use overify_serve::{Client, Event, JobSpec, Priority, Scheduler};
 use overify_store::artifact::{level_from_tag, level_tag};
@@ -159,10 +159,9 @@ impl GatewayState {
         c
     }
 
-    /// Persists `id`'s record in `state`, preserving the original
-    /// submission timestamp across transitions. Store regression rules
-    /// apply (a terminal record is never overwritten by a non-terminal
-    /// one).
+    /// Persists `id`'s record in `state`. The store keeps the original
+    /// submission timestamp across transitions and refuses regressions (a
+    /// terminal record is never overwritten by a non-terminal one).
     fn stamp(
         &self,
         id: u128,
@@ -172,17 +171,13 @@ impl GatewayState {
         verdict: Option<VerdictPointer>,
         error: Option<String>,
     ) -> io::Result<bool> {
-        let created_us = self
-            .store
-            .load_job(id)
-            .map(|r| r.created_us)
-            .unwrap_or_else(now_us);
+        let now = now_us();
         self.store.save_job(&JobRecord {
             id,
             state,
             tenant: tenant.to_string(),
-            created_us,
-            updated_us: now_us(),
+            created_us: now,
+            updated_us: now,
             spec: spec_bytes,
             verdict,
             error,
@@ -328,7 +323,9 @@ fn accept_loop(state: &Arc<GatewayState>, listener: TcpListener) {
         if state.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(stream) = stream.and_then(nodelay) else {
+            continue;
+        };
         let state = Arc::clone(state);
         std::thread::spawn(move || {
             let _ = handle_conn(&state, stream);
@@ -586,14 +583,11 @@ fn dispatcher_loop(state: &Arc<GatewayState>) {
     while let Some(sub) = state.sched.pop() {
         QUEUE_DEPTH.get().set(state.sched.len() as i64);
         let spec_bytes = encode_spec_bytes(&sub.spec);
-        let _ = state.stamp(
-            sub.id,
-            &sub.tenant,
-            spec_bytes.clone(),
-            JobState::Running,
-            None,
-            None,
-        );
+        // `running` is stamped when the daemon queues the job as a miss, so
+        // the write overlaps the verification instead of delaying the
+        // submission — and does not wait on the POST handler's `queued`
+        // stamp of the same record. A store hit goes straight to `done`.
+        let mut running = false;
         loop {
             if state.shutdown.load(Ordering::SeqCst) {
                 // Leave the record non-terminal; the next boot replays it.
@@ -612,10 +606,20 @@ fn dispatcher_loop(state: &Arc<GatewayState>) {
             }
             let conn = client.as_mut().unwrap();
             let mut verdict_key = None;
-            match conn.submit_with_tenant(&sub.spec, &sub.tenant, |ev| {
-                if let Event::Report { outcome, .. } = ev {
-                    verdict_key = outcome.verdict_key;
+            match conn.submit_with_tenant(&sub.spec, &sub.tenant, |ev| match ev {
+                Event::Queued { .. } if !running => {
+                    running = true;
+                    let _ = state.stamp(
+                        sub.id,
+                        &sub.tenant,
+                        spec_bytes.clone(),
+                        JobState::Running,
+                        None,
+                        None,
+                    );
                 }
+                Event::Report { outcome, .. } => verdict_key = outcome.verdict_key,
+                _ => {}
             }) {
                 Ok(result) => {
                     if let Some(err) = &result.error {

@@ -487,10 +487,15 @@ pub fn render_sample(out: &mut String, name: &str, sample: &Sample, label: Optio
 
 /// Renders the registry in the text exposition format (see module docs).
 pub fn render() -> String {
+    render_snapshot(&snapshot())
+}
+
+/// Renders one [`snapshot`] in the text exposition format.
+fn render_snapshot(samples: &[(&str, Sample)]) -> String {
     let mut out = String::new();
-    for (name, sample) in snapshot() {
-        let _ = writeln!(out, "# TYPE {name} {}", sample_kind(&sample));
-        render_sample(&mut out, name, &sample, None);
+    for (name, sample) in samples {
+        let _ = writeln!(out, "# TYPE {name} {}", sample_kind(sample));
+        render_sample(&mut out, name, sample, None);
     }
     out
 }
@@ -940,10 +945,13 @@ mod tests {
         for v in [0u64, 5, 5, 1000, u64::MAX] {
             h.observe(v);
         }
-        let text = render();
+        // Render one snapshot and compare against that same snapshot:
+        // sibling tests keep registering and bumping metrics in this
+        // process, so a second read of the global registry can differ.
+        let live = snapshot();
+        let text = render_snapshot(&live);
         let parsed = parse(&text);
         // Everything the registry snapshot holds comes back intact.
-        let live = snapshot();
         assert_eq!(parsed.len(), live.len());
         for ((pn, ps), (ln, ls)) in parsed.iter().zip(&live) {
             assert_eq!(pn, ln);

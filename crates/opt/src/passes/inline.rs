@@ -132,14 +132,18 @@ fn inline_site(caller: &mut Function, block: overify_ir::BlockId, pos: usize, ca
         _ => unreachable!("split must leave the call last"),
     };
 
-    // 2. Create caller values for every callee value.
+    // 2. Create caller values for every callee value. Parameters are the
+    //    values in the callee's parameter list, never just any value tagged
+    //    `Param`: a callee that was itself a caller earlier in this pass
+    //    still carries the `Param(u32::MAX)` pending markers of values whose
+    //    defining instruction was dead when it was cloned.
+    debug_assert_eq!(args.len(), callee.params.len(), "call arity");
     let mut vmap: Vec<Operand> = Vec::with_capacity(callee.values.len());
     for (i, vd) in callee.values.iter().enumerate() {
-        match vd.def {
-            ValueDef::Param(p) => vmap.push(args[p as usize]),
-            ValueDef::Inst(_) => {
+        match callee.params.iter().position(|p| p.index() == i) {
+            Some(p) => vmap.push(args[p]),
+            None => {
                 let nv = caller.make_value(vd.ty, ValueDef::Param(u32::MAX), vd.name.clone());
-                let _ = i;
                 vmap.push(Operand::Value(nv));
             }
         }

@@ -7,8 +7,8 @@
 //! progress, count store hits, or assert on the stream shape in tests.
 
 use crate::protocol::{
-    decode_event, encode_request, read_frame, write_frame, Event, JobSpec, MetricsScope,
-    ProtocolError, Request, ServeStatsSnapshot, VERSION,
+    append_frame, decode_event, encode_request, nodelay, read_frame, write_frame, Event, JobSpec,
+    MetricsScope, ProtocolError, Request, ServeStatsSnapshot, VERSION,
 };
 use overify::SuiteJobResult;
 use std::collections::HashMap;
@@ -49,7 +49,7 @@ impl Client {
     /// Connects and performs the handshake (the server leads with
     /// [`Event::Hello`]; magic and version must match this build).
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = nodelay(TcpStream::connect(addr)?)?;
         let writer = BufWriter::new(stream.try_clone()?);
         let mut client = Client {
             reader: BufReader::new(stream),
@@ -71,8 +71,7 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> io::Result<()> {
-        write_frame(&mut self.writer, &encode_request(req))?;
-        self.writer.flush()
+        Ok(write_frame(&mut self.writer, &encode_request(req))?)
     }
 
     fn next_event(&mut self) -> io::Result<Event> {
@@ -142,8 +141,10 @@ impl Client {
     where
         F: FnMut(&Event),
     {
+        // The whole batch is one burst: appended unflushed, sent by one
+        // flush.
         for spec in specs {
-            write_frame(
+            append_frame(
                 &mut self.writer,
                 &encode_request(&Request::Submit {
                     spec: spec.clone(),

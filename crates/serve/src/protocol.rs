@@ -8,6 +8,11 @@
 //! frame:  len u32 (LE) | payload (len bytes)
 //! ```
 //!
+//! Every stream is no-delay ([`nodelay`]): writers batch on their own,
+//! appending the frames of one burst ([`append_frame`], [`write_burst`])
+//! and flushing once, so a small frame never waits on the peer's delayed
+//! ACK.
+//!
 //! The first frame on every connection is the server's [`Event::Hello`]
 //! (magic + protocol version), so a client talking to the wrong port or
 //! the wrong build fails the handshake instead of mis-decoding. After
@@ -73,6 +78,8 @@ use overify_store::artifact::{decode_report, encode_report, level_from_tag, leve
 use overify_store::codec::{Reader, Writer};
 use overify_symex::{CachedVerdict, Model};
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::sync::mpsc::Receiver;
 use std::time::Duration;
 
 /// Handshake magic: the first bytes of every connection's `Hello` frame.
@@ -167,10 +174,21 @@ impl From<ProtocolError> for io::Error {
     }
 }
 
-/// Writes one length-prefixed frame. An oversized payload is rejected
-/// before anything touches the wire (a half-written frame would desync
-/// the stream).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
+/// Turns Nagle's algorithm off on a stream of this stack, accepted or
+/// opened. Frames are small and every exchange is request/response or
+/// an event burst; with Nagle on, a small write that follows another one
+/// still unacknowledged waits for the peer's delayed ACK (40 ms and more
+/// on Linux).
+pub fn nodelay(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Appends one length-prefixed frame to `w` without flushing it: the
+/// caller flushes once per burst. An oversized payload is rejected before
+/// anything touches the writer (a half-written frame would desync the
+/// stream).
+pub fn append_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
     if payload.len() > MAX_FRAME as usize {
         return Err(ProtocolError::Oversized {
             len: payload.len().min(u32::MAX as usize) as u32,
@@ -178,8 +196,37 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolErr
     }
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
+    Ok(())
+}
+
+/// Writes one length-prefixed frame and flushes it: a burst of one, for
+/// request/response exchanges.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtocolError> {
+    append_frame(w, payload)?;
     w.flush()?;
     Ok(())
+}
+
+/// Writes `first` and then every event already waiting on `rx` as one
+/// burst, flushing once at the end, so events produced together (a
+/// `Scheduled` and its first `Progress`, a `Report` and its followers'
+/// `Report`s) leave in one segment and one syscall. Events keep their
+/// channel order. Returns whether the burst carried an
+/// [`Event::ShuttingDown`], which is on the wire once this returns `Ok`.
+pub fn write_burst(
+    w: &mut impl Write,
+    first: Event,
+    rx: &Receiver<Event>,
+) -> Result<bool, ProtocolError> {
+    let mut shutdown = false;
+    let mut next = Some(first);
+    while let Some(ev) = next {
+        shutdown |= matches!(ev, Event::ShuttingDown);
+        append_frame(w, &encode_event(&ev))?;
+        next = rx.try_recv().ok();
+    }
+    w.flush()?;
+    Ok(shutdown)
 }
 
 /// Reads one length-prefixed frame, rejecting oversized lengths before
@@ -1712,6 +1759,63 @@ mod tests {
         let spec = sample_spec();
         let again = JobSpec::from_suite_job(&spec.to_suite_job());
         assert_eq!(again, spec);
+    }
+
+    /// A sink that counts flushes.
+    #[derive(Default)]
+    struct FlushCounter {
+        bytes: Vec<u8>,
+        flushes: usize,
+    }
+
+    impl Write for FlushCounter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn events_queued_before_the_writer_wakes_leave_in_one_flush() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let burst: Vec<Event> = (0..5)
+            .map(|job| Event::Queued {
+                job,
+                position: job,
+                predicted_cost: 7,
+            })
+            .chain([
+                Event::Scheduled { job: 0 },
+                Event::Report {
+                    job: 0,
+                    outcome: sample_outcome(),
+                },
+            ])
+            .collect();
+        for ev in &burst {
+            tx.send(ev.clone()).unwrap();
+        }
+        // The writer thread's shape: block for one event, then drain.
+        let mut sink = FlushCounter::default();
+        let first = rx.recv().unwrap();
+        assert!(!write_burst(&mut sink, first, &rx).unwrap());
+        assert_eq!(sink.flushes, 1, "one flush for the whole burst");
+        let mut r = &sink.bytes[..];
+        for ev in &burst {
+            assert_eq!(&decode_event(&read_frame(&mut r).unwrap()).unwrap(), ev);
+        }
+        assert!(r.is_empty(), "nothing but the burst was written");
+
+        // A burst carrying the shutdown ack says so; it is flushed by then.
+        tx.send(Event::ShuttingDown).unwrap();
+        let first = Event::Stats(ServeStatsSnapshot::default());
+        assert!(write_burst(&mut sink, first, &rx).unwrap());
+        assert_eq!(sink.flushes, 2);
     }
 
     #[test]

@@ -22,12 +22,14 @@
 //!   so the *next* client — or the next process — starts warmer.
 //!
 //! All writes to one client socket are serialized through a per-connection
-//! writer thread, so pipelined jobs can't interleave frames.
+//! writer thread, so pipelined jobs can't interleave frames; the thread
+//! sends whatever events are waiting when it wakes as one burst with one
+//! flush (see [`crate::protocol::write_burst`]).
 
 use crate::hub::{FrontierHub, RunPublisher};
 use crate::protocol::{
-    encode_event, read_frame, write_frame, Event, JobOutcome, JobSpec, MetricsScope, Request,
-    ServeStatsSnapshot, VerdictKey, VERSION,
+    encode_event, nodelay, read_frame, write_burst, write_frame, Event, JobOutcome, JobSpec,
+    MetricsScope, Request, ServeStatsSnapshot, VerdictKey, VERSION,
 };
 use crate::scheduler::PushError;
 use crate::scheduler::{Priority, Scheduler};
@@ -113,6 +115,9 @@ struct QueuedJob {
     /// The client-supplied correlation id, carried through the hub onto
     /// every lease so daemon and worker trace spans stitch together.
     trace: u64,
+    /// The store's [`Store::save_seq`] read just before the submit-time
+    /// probe missed: the executor re-probes only if it has moved since.
+    probed_seq: u64,
 }
 
 /// A job currently executing, visible to the progress poller.
@@ -370,7 +375,9 @@ fn accept_loop(state: &Arc<ServeState>, listener: TcpListener) {
         if state.shutting_down.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok(stream) = conn.and_then(nodelay) else {
+            continue;
+        };
         // Connection cap: refuse with a typed Busy frame instead of
         // spawning a handler. The count is claimed optimistically and
         // released on refusal so two racing accepts can't both slip past
@@ -425,14 +432,15 @@ fn handle_connection(state: &Arc<ServeState>, stream: TcpStream, conn_id: u64) -
     let writer = std::thread::spawn(move || {
         let mut w = BufWriter::new(peer_write);
         // Exits when every sender is gone (connection done, queued jobs
-        // reported) or the socket breaks (client hung up mid-stream).
+        // reported) or the socket breaks (client hung up mid-stream). Each
+        // wake-up drains whatever else is already queued and flushes once.
         while let Ok(ev) = rx.recv() {
-            let is_shutdown_ack = matches!(ev, Event::ShuttingDown);
-            if write_frame(&mut w, &encode_event(&ev)).is_err() {
-                break;
-            }
-            if is_shutdown_ack {
-                flushed_tx.send(()).ok();
+            match write_burst(&mut w, ev, &rx) {
+                Ok(true) => {
+                    flushed_tx.send(()).ok();
+                }
+                Ok(false) => {}
+                Err(_) => break,
             }
         }
     });
@@ -766,6 +774,8 @@ fn handle_submit(
             return;
         }
     };
+    // Read before probing, so a save racing the probe still moves it.
+    let probed_seq = state.store.as_ref().map_or(0, Store::save_seq);
     if let Some(store) = &state.store {
         if let Some(hit) = prepared.load_stored(store) {
             state.answered_from_store.fetch_add(1, Ordering::Relaxed);
@@ -847,6 +857,7 @@ fn handle_submit(
         key_hash,
         priority,
         trace,
+        probed_seq,
     };
     match state.sched.push_for(tenant, priority, queued) {
         Ok(_) => {}
@@ -932,11 +943,19 @@ fn report_followers(followers: Followers, outcome: &JobOutcome) {
 /// One executor: pops misses cost-first and runs them to completion.
 fn executor_loop(state: &Arc<ServeState>) {
     while let Some(job) = state.sched.pop() {
-        // Re-check the store before spending solver time: between this
-        // job's miss check and now, another executor (or another process
-        // on the same store path) may have persisted the same content
-        // address — then the artifact *is* this job's outcome.
-        if let Some(store) = &state.store {
+        // Re-check the store before spending solver time only when this
+        // daemon saved an artifact since the job's submit-time probe
+        // missed: another executor may have persisted an answer meanwhile
+        // (a shared slice key, or a resubmission that raced a finished
+        // run; same-key duplicates already coalesce in flight). Otherwise
+        // a second probe could only miss again. A write by another
+        // process racing the submit-time probe costs one redundant
+        // execution with identical bytes.
+        let moved = state
+            .store
+            .as_ref()
+            .filter(|s| s.save_seq() != job.probed_seq);
+        if let Some(store) = moved {
             if let Some(hit) = job.prepared.load_stored(store) {
                 state.answered_from_store.fetch_add(1, Ordering::Relaxed);
                 if hit.from_slice {

@@ -42,7 +42,8 @@
 //! merged run truncated — exactly like a local worker tripping it.
 
 use crate::protocol::{
-    decode_event, encode_request, read_frame, write_frame, Event, LeasedJob, Request, VERSION,
+    decode_event, encode_request, nodelay, read_frame, write_frame, Event, LeasedJob, Request,
+    VERSION,
 };
 use overify::{prepare_job, Module, SharedQueryCache, VerificationReport};
 use overify_obs::metrics::{DeltaTracker, LazyCounter};
@@ -216,7 +217,7 @@ struct Conn {
 
 impl Conn {
     fn connect(addr: SocketAddr, name: &str) -> io::Result<Conn> {
-        let stream = TcpStream::connect(addr)?;
+        let stream = nodelay(TcpStream::connect(addr)?)?;
         let writer = BufWriter::new(stream.try_clone()?);
         let mut conn = Conn {
             reader: BufReader::new(stream),

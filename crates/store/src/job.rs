@@ -16,10 +16,10 @@
 //! re-enqueue whatever was non-terminal when it died.
 //!
 //! Records are terminal-state sticky in one direction only: `Done` and
-//! `Failed` never regress to `Queued`/`Running` via [`JobRecord::fresher_than`],
-//! which callers consult before overwriting (two processes share the
-//! store; last-write-wins is fine *within* a state class, regression
-//! across classes is not).
+//! `Failed` never regress to `Queued`/`Running` ([`JobRecord::regresses`],
+//! checked by `Store::save_job` under the record's lock before it
+//! overwrites — two processes share the store; last-write-wins is fine
+//! *within* a state class, regression across classes is not).
 
 use crate::codec::{fnv64, Reader, Writer};
 
@@ -33,7 +33,8 @@ pub const JOB_VERSION: u32 = 1;
 pub enum JobState {
     /// Accepted, waiting for a dispatcher slot.
     Queued,
-    /// Handed to the daemon; a verification run is in flight.
+    /// The daemon queued it as a miss; a verification run is pending or
+    /// in flight.
     Running,
     /// Verified; the record's verdict pointer names the stored artifact.
     Done,

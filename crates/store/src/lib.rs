@@ -176,6 +176,9 @@ pub struct Store {
     /// domain-separated, so one map serves both. Appends update the map
     /// in place, so one handle never rereads.
     costs: Mutex<Option<CostMap>>,
+    /// Report and slice artifacts this handle has written: see
+    /// [`Store::save_seq`].
+    saves: AtomicU64,
     report_hits: AtomicU64,
     report_misses: AtomicU64,
     reports_saved: AtomicU64,
@@ -207,6 +210,7 @@ impl Store {
             rewrite_log: Mutex::new(false),
             tail: Mutex::new(TailCursor::default()),
             costs: Mutex::new(None),
+            saves: AtomicU64::new(0),
             report_hits: AtomicU64::new(0),
             report_misses: AtomicU64::new(0),
             reports_saved: AtomicU64::new(0),
@@ -223,6 +227,20 @@ impl Store {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.cfg.root
+    }
+
+    /// How many report and slice artifacts this handle has saved so far.
+    /// The count moves only after the artifact is visible on disk, so a
+    /// probe that read the count *before* it missed can later tell whether
+    /// an answer may have landed since: an unchanged count means this
+    /// handle wrote nothing that probe could have seen. Writes by other
+    /// handles or processes do not move it.
+    ///
+    /// Ordering: the saves' `Release` increment follows their rename, and
+    /// this `Acquire` load precedes the caller's probe, so a probe that
+    /// reads a count also sees every artifact the count includes.
+    pub fn save_seq(&self) -> u64 {
+        self.saves.load(Ordering::Acquire)
     }
 
     /// Activity counters so far.
@@ -479,6 +497,7 @@ impl Store {
         fs::write(&tmp, artifact::encode_artifact(key, job))?;
         fs::rename(&tmp, &path)?;
         self.reports_saved.fetch_add(1, Ordering::Relaxed);
+        self.saves.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -520,6 +539,7 @@ impl Store {
         fs::write(&tmp, artifact::encode_slice_artifact(key, job))?;
         fs::rename(&tmp, &path)?;
         self.slices_saved.fetch_add(1, Ordering::Relaxed);
+        self.saves.fetch_add(1, Ordering::Release);
         Ok(())
     }
 
@@ -536,10 +556,19 @@ impl Store {
     /// when a record already on disk is terminal and `rec` is not, the
     /// write is skipped and `Ok(false)` returned — two processes may
     /// share the store, and a stale `Running` must never clobber a
-    /// `Done`. Returns `Ok(true)` when the record was written.
+    /// `Done`. Returns `Ok(true)` when the record was written. A record
+    /// already on disk keeps its `created_us`: a transition never moves
+    /// the submission time.
+    ///
+    /// The read → check → rename sequence is a compare-and-swap: it runs
+    /// under a per-record lock file beside the record, so a writer that
+    /// read "no record yet" cannot rename over a terminal record another
+    /// writer (thread or process) stored in between.
     pub fn save_job(&self, rec: &JobRecord) -> io::Result<bool> {
         static SAVED: LazyCounter = LazyCounter::new("overify_store_jobs_saved_total");
         let path = self.job_path(rec.id);
+        let _lock = lock::DirLock::acquire(&path.with_extension("lock"), lock::STALE_AFTER)?;
+        let mut rec = rec.clone();
         if let Some(old) = fs::read(&path)
             .ok()
             .and_then(|bytes| job::decode_job_record(&bytes, rec.id))
@@ -547,9 +576,10 @@ impl Store {
             if rec.regresses(&old) {
                 return Ok(false);
             }
+            rec.created_us = old.created_us;
         }
         let tmp = Self::tmp_sibling(&path);
-        fs::write(&tmp, job::encode_job_record(rec))?;
+        fs::write(&tmp, job::encode_job_record(&rec))?;
         fs::rename(&tmp, &path)?;
         SAVED.inc();
         Ok(true)
@@ -1298,8 +1328,11 @@ mod tests {
         assert!(store.save_job(&rec(7, JobState::Queued)).unwrap());
         assert!(store.save_job(&rec(3, JobState::Done)).unwrap());
         assert_eq!(store.load_job(7), Some(rec(7, JobState::Queued)));
-        // Forward transitions write; a regression to non-terminal does not.
-        assert!(store.save_job(&rec(7, JobState::Done)).unwrap());
+        // Forward transitions write, keeping the submission time; a
+        // regression to non-terminal does not.
+        let mut done = rec(7, JobState::Done);
+        done.created_us = 99;
+        assert!(store.save_job(&done).unwrap());
         assert!(!store.save_job(&rec(7, JobState::Running)).unwrap());
         assert_eq!(store.load_job(7), Some(rec(7, JobState::Done)));
         // Listing is id-ordered and survives a fresh handle.
@@ -1314,6 +1347,72 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         assert!(store.load_job(7).is_none());
         assert_eq!(store.list_jobs().len(), 1);
+    }
+
+    #[test]
+    fn racing_job_saves_never_regress_a_terminal_record() {
+        // The gateway's POST handler stamps `queued` while a dispatcher
+        // may already be stamping `done` on the same id. Whatever the
+        // interleaving, the record must end `done`. Each writer has its
+        // own handle, as two processes sharing the store would.
+        const ROUNDS: u128 = 2_000;
+        let store = tmp_store("job_race");
+        let other = Store::open(StoreConfig::at(store.root())).unwrap();
+        let rec = |id: u128, state: JobState| JobRecord {
+            id,
+            state,
+            tenant: "t".into(),
+            created_us: 1,
+            updated_us: 2,
+            spec: vec![id as u8],
+            verdict: None,
+            error: None,
+        };
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (store, state) in [(&store, JobState::Queued), (&other, JobState::Done)] {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    for id in 0..ROUNDS {
+                        barrier.wait();
+                        store.save_job(&rec(id, state)).unwrap();
+                    }
+                });
+            }
+        });
+        for id in 0..ROUNDS {
+            let state = store.load_job(id).map(|r| r.state);
+            assert_eq!(state, Some(JobState::Done), "round {id}");
+        }
+    }
+
+    #[test]
+    fn save_seq_counts_this_handles_artifact_writes() {
+        let store = tmp_store("save_seq");
+        let other = Store::open(StoreConfig::at(store.root())).unwrap();
+        let job = StoredJob {
+            runs: vec![(1, VerificationReport::default())],
+        };
+        let mkey = ReportKey {
+            module_fp: 1,
+            level: OptLevel::O0,
+            budget_sig: 2,
+        };
+        let skey = SliceKey {
+            slice_fp: 3,
+            level: OptLevel::O0,
+            budget_sig: 2,
+        };
+        assert_eq!(store.save_seq(), 0);
+        store.save_report(&mkey, &job).unwrap();
+        store.save_slice(&skey, &job).unwrap();
+        assert_eq!(store.save_seq(), 2);
+        // Reads, cost records and other handles' writes do not count.
+        store.load_report(&mkey);
+        store.record_cost(&mkey, Duration::from_millis(1)).unwrap();
+        other.save_report(&mkey, &job).unwrap();
+        assert_eq!(store.save_seq(), 2);
+        assert_eq!(other.save_seq(), 1);
     }
 
     #[test]

@@ -34,6 +34,9 @@ impl DirLock {
     /// Blocks until the lock file at `path` could be created, stealing it
     /// if an existing one is older than `stale_after`.
     pub fn acquire(path: &Path, stale_after: Duration) -> io::Result<DirLock> {
+        // Critical sections are a few file operations, so a waiter first
+        // retries within tens of microseconds and backs off from there.
+        let mut backoff = Duration::from_micros(25);
         loop {
             match fs::OpenOptions::new()
                 .write(true)
@@ -62,7 +65,8 @@ impl DirLock {
                             let _ = fs::remove_file(&grave);
                         }
                     } else {
-                        std::thread::sleep(Duration::from_millis(2));
+                        std::thread::sleep(backoff);
+                        backoff = (backoff * 2).min(Duration::from_millis(2));
                     }
                 }
                 Err(e) => return Err(e),

@@ -272,7 +272,7 @@ fn flood_sheds_explicitly_and_loses_nothing_across_daemon_restart() {
     let daemon = daemon_at(&root, port);
     let gw = gateway_at(daemon.addr(), &root, |cfg| {
         cfg.queue_capacity = 4;
-        cfg.dispatchers = 2;
+        cfg.dispatchers = 16;
         cfg.quota = QuotaConfig {
             burst: 1e9,
             per_sec: 1e9,

@@ -6,8 +6,12 @@ use overify_coreutils::{compile_utility, suite};
 
 /// Compiles a utility at `level` with the level's default libc.
 fn build(u: &overify_coreutils::Utility, level: OptLevel) -> overify::Module {
+    build_source(u.source, level)
+}
+
+fn build_source(source: &str, level: OptLevel) -> overify::Module {
     let opts = BuildOptions::level(level);
-    let mut m = compile_utility(u, opts.resolved_libc()).expect("compiles");
+    let mut m = overify_libc::compile_and_link(source, opts.resolved_libc()).expect("compiles");
     overify::build::compile_module(&mut m, &opts);
     overify_ir::verify_module(&m).expect("well-formed after optimization");
     m
@@ -45,6 +49,49 @@ fn every_utility_behaves_identically_across_levels() {
                     r0.output, r1.output,
                     "{} at {level}: output diverged on {:?}",
                     u.name, input
+                );
+            }
+        }
+    }
+}
+
+/// `source` with its entry renamed `umain_inner` and re-exposed through a
+/// one-line forwarding `umain` — the edit `store_sweep --touch` makes to
+/// move exactly one entry slice.
+fn wrapped(source: &str) -> String {
+    format!(
+        "{}\nint umain(unsigned char *in, int n) {{ return umain_inner(in, n); }}\n",
+        source.replace("int umain(", "int umain_inner(")
+    )
+}
+
+#[test]
+fn wrapped_entries_build_at_every_level_and_behave_identically() {
+    // A forwarding wrapper is a valid program: every level must build it
+    // (the inliner once crashed on it at -O3/-OVERIFY) and run it exactly
+    // like the unwrapped utility.
+    let cfg = ExecConfig::default();
+    let inputs: [&[u8]; 3] = [b"hello world\n\0", b"  -42,x\t\0", b"\0"];
+    for u in suite() {
+        let reference = build(u, OptLevel::O0);
+        let source = wrapped(u.source);
+        for level in [
+            OptLevel::O0,
+            OptLevel::O1,
+            OptLevel::O2,
+            OptLevel::O3,
+            OptLevel::Overify,
+        ] {
+            let m = build_source(&source, level);
+            for input in inputs {
+                let n = (input.len() - 1) as u64;
+                let r0 = overify::run_with_buffer(&reference, "umain", input, &[n], &cfg);
+                let r1 = overify::run_with_buffer(&m, "umain", input, &[n], &cfg);
+                assert_eq!(
+                    (r0.outcome, r0.ret, r0.output),
+                    (r1.outcome, r1.ret, r1.output),
+                    "{} wrapped at {level}: diverged on {input:?}",
+                    u.name
                 );
             }
         }

@@ -5,7 +5,7 @@
 use overify::{OptLevel, StoreConfig, SuiteJob, SymConfig};
 use overify_serve::{start, Client, Event, JobSpec, ServerConfig, ServerHandle};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp_root(name: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("overify_serve_it_{}_{name}", std::process::id()));
@@ -184,6 +184,51 @@ fn miss_jobs_stream_ordered_progress_events() {
     assert_eq!(progress.last().unwrap().2, final_paths);
     assert_eq!(progress.last().unwrap().0, 2, "all runs done at the end");
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A closed-loop client sends its next job only after the last one
+/// reported, so its socket is idle between a miss's `Queued` and
+/// `Scheduled` frames. With Nagle's algorithm on, the second of those two
+/// small writes waited for the client's delayed ACK — at least 40 ms on
+/// Linux — on every miss, dwarfing the scheduler's own sub-millisecond
+/// hand-off.
+#[test]
+fn closed_loop_misses_are_not_held_by_nagle() {
+    let root = tmp_root("nagle");
+    let server = start_server(&root, 1);
+    let mut client = Client::connect(server.addr()).expect("connects");
+    let mut gaps_ms = Vec::new();
+    for k in 0..12 {
+        // Distinct sources: every submission is a store miss.
+        let spec = JobSpec {
+            name: format!("tiny{k}"),
+            source: format!("int umain(unsigned char *in, int n) {{ return in[0] > {k}; }}"),
+            entry: "umain".into(),
+            level: OptLevel::O0,
+            bytes: vec![1],
+            path_workers: 1,
+            cfg: small_cfg(),
+        };
+        let (mut queued, mut scheduled) = (None, None);
+        let result = client
+            .submit_with(&spec, |ev| match ev {
+                Event::Queued { .. } => queued = Some(Instant::now()),
+                Event::Scheduled { .. } => scheduled = Some(Instant::now()),
+                _ => {}
+            })
+            .expect("job completes");
+        assert!(!result.from_store, "{}: a miss", spec.name);
+        let (queued, scheduled) = (queued.expect("Queued"), scheduled.expect("Scheduled"));
+        gaps_ms.push((scheduled - queued).as_secs_f64() * 1e3);
+    }
+    gaps_ms.sort_by(f64::total_cmp);
+    let median = (gaps_ms[5] + gaps_ms[6]) / 2.0;
+    assert!(
+        median < 10.0,
+        "median Queued -> Scheduled gap {median:.2} ms (sorted gaps {gaps_ms:.2?})"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
